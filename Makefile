@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test race bench bench-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke
+.PHONY: all vet build test test-cpu race bench bench-smoke perfbench ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke
 
 all: ci
 
@@ -14,6 +14,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The search, harness and fleet tests at one and at four procs: a test
+# whose outcome depends on GOMAXPROCS (worker counts default to it) fails
+# here on any machine.
+test-cpu:
+	$(GO) test -cpu 1,4 ./internal/trace/... ./internal/harness/... ./internal/dist/...
 
 # Race-check the parallel search layer (worker-pool Explore/Fuzz/Stress),
 # the distributed coordinator/worker protocol, and the checking daemon —
@@ -31,6 +37,12 @@ bench:
 # One iteration of every benchmark: catches bit-rot without the cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# The repository's benchmark (perfbench/README.md): time to a verified
+# verdict per workload, built from this checkout. Pass its flags in ARGS,
+# e.g. make perfbench ARGS='--workload check-symmetry --seed 1 --trace 0'.
+perfbench:
+	bash perfbench/run.sh $(ARGS)
 
 # Print the protocol registry; doubles as a smoke test that registration
 # side effects are wired.
@@ -76,4 +88,4 @@ crash-smoke:
 	$(GO) test ./internal/jobd -run TestCrashMatrix -count=1
 	$(GO) run ./cmd/checkd -smoke -kill
 
-ci: vet build test race bench-smoke
+ci: vet build test test-cpu race bench-smoke

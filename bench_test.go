@@ -566,62 +566,82 @@ func benchSnapshotWorkload(b *testing.B, kind string, eng sched.EngineKind) {
 
 // BenchmarkExploreSymmetry is the symmetry-reduction ablation over the
 // harness front door (the registry carries the symmetry declarations):
-// exhaustive exploration of 4-process firstvalue — the maximally symmetric
-// protocol, full S_4 group with input renaming — plain, pruned, and
-// symmetry-reduced, reporting runs-explored and states-distinct per
-// exploration. The prune=on/symmetry=on row's states-distinct against the
-// prune=on row's is the orbit-collapse ratio the E10 experiment tabulates.
+// exhaustive depth-20 exploration, pruned and symmetry-reduced, of
+// firstvalue at n=4 and n=5 — the maximally symmetric protocol, full S_n
+// group with input renaming — and of kset n=4 k=3, whose two-member
+// singleton block is the weakest symmetry registered. Each job reports
+// runs-explored and states-distinct per exploration (the symmetry row's
+// states-distinct against the pruned row's is the orbit-collapse ratio the
+// E10 experiment tabulates) and a speedup row: pruned time over
+// symmetry-reduced time, which must stay >= 1 for -symmetry to pay. The
+// unpruned row runs only on the smallest job.
 func BenchmarkExploreSymmetry(b *testing.B) {
-	base := harness.Options{
-		Protocol: "firstvalue",
-		Params:   protocol.Params{N: 4},
-		MaxDepth: 20,
-		MaxRuns:  2_000_000,
-	}
-	for _, c := range []struct {
-		name            string
-		prune, symmetry bool
+	for _, job := range []struct {
+		name     string
+		protocol string
+		params   protocol.Params
+		plain    bool // also time the unpruned enumeration
 	}{
-		{"prune=off/symmetry=off", false, false},
-		{"prune=on/symmetry=off", true, false},
-		{"prune=on/symmetry=on", true, true},
+		{"firstvalue_n4", "firstvalue", protocol.Params{N: 4}, true},
+		{"firstvalue_n5", "firstvalue", protocol.Params{N: 5}, false},
+		{"kset_n4_k3", "kset", protocol.Params{N: 4, K: 3}, false},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			runs, distinct := 0, 0
-			for i := 0; i < b.N; i++ {
-				opts := base
-				opts.Prune, opts.Symmetry = c.prune, c.symmetry
-				rep, err := harness.Check(opts)
-				if err != nil {
-					b.Fatal(err)
+		base := harness.Options{
+			Protocol: job.protocol,
+			Params:   job.params,
+			MaxDepth: 20,
+			MaxRuns:  2_000_000,
+		}
+		b.Run(job.name, func(b *testing.B) {
+			for _, c := range []struct {
+				name            string
+				prune, symmetry bool
+			}{
+				{"prune=off/symmetry=off", false, false},
+				{"prune=on/symmetry=off", true, false},
+				{"prune=on/symmetry=on", true, true},
+			} {
+				if !c.prune && !job.plain {
+					continue
 				}
-				if !rep.Explore.Exhausted {
-					b.Fatal("benchmark space not exhausted")
-				}
-				runs += rep.Explore.Runs
-				distinct += rep.Explore.Distinct
+				b.Run(c.name, func(b *testing.B) {
+					runs, distinct := 0, 0
+					for i := 0; i < b.N; i++ {
+						opts := base
+						opts.Prune, opts.Symmetry = c.prune, c.symmetry
+						rep, err := harness.Check(opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !rep.Explore.Exhausted {
+							b.Fatal("benchmark space not exhausted")
+						}
+						runs += rep.Explore.Runs
+						distinct += rep.Explore.Distinct
+					}
+					b.ReportMetric(float64(runs)/float64(b.N), "runs-explored")
+					b.ReportMetric(float64(distinct)/float64(b.N), "states-distinct")
+				})
 			}
-			b.ReportMetric(float64(runs)/float64(b.N), "runs-explored")
-			b.ReportMetric(float64(distinct)/float64(b.N), "states-distinct")
+			b.Run("speedup", func(b *testing.B) {
+				run := func(prune, symmetry bool) time.Duration {
+					start := time.Now()
+					opts := base
+					opts.Prune, opts.Symmetry = prune, symmetry
+					for i := 0; i < b.N; i++ {
+						if _, err := harness.Check(opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+					return time.Since(start)
+				}
+				pruned := run(true, false)
+				sym := run(true, true)
+				b.ReportMetric(pruned.Seconds()/sym.Seconds(), "speedup")
+				b.ReportMetric(0, "ns/op")
+			})
 		})
 	}
-	b.Run("speedup", func(b *testing.B) {
-		run := func(prune, symmetry bool) time.Duration {
-			start := time.Now()
-			opts := base
-			opts.Prune, opts.Symmetry = prune, symmetry
-			for i := 0; i < b.N; i++ {
-				if _, err := harness.Check(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return time.Since(start)
-		}
-		pruned := run(true, false)
-		sym := run(true, true)
-		b.ReportMetric(pruned.Seconds()/sym.Seconds(), "speedup")
-		b.ReportMetric(0, "ns/op")
-	})
 }
 
 // BenchmarkLemma26Reconstruction measures the cost of reconstructing the

@@ -288,11 +288,11 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 // snapshot's state with every machine's (enabling ExploreOpts.Prune — sound
 // here because the task check is a function of the recorded outputs, i.e. of
 // the configuration), the canonical fingerprint minimizes that same hash
-// over the protocol's symmetry group (enabling ExploreOpts.Symmetry; with no
-// declared symmetry the group is the identity and the hook is an exact
-// no-op), and Fork deep-copies the whole system — cloned snapshot, cloned
-// result, cloned machines — recursively, so forks of forks work
-// (checkpointed exploration resumes by forking a frozen fork).
+// over the candidate elements of the protocol's symmetry group (enabling
+// ExploreOpts.Symmetry; with no declared symmetry the group is the identity
+// and the hook is an exact no-op), and Fork deep-copies the whole system —
+// cloned snapshot, cloned result, cloned machines — recursively, so forks
+// of forks work (checkpointed exploration resumes by forking a frozen fork).
 func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.RunResult,
 	machines []sched.Machine, cz *sched.Canonicalizer) trace.System {
 	return trace.System{
@@ -307,11 +307,9 @@ func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.Run
 			}
 		},
 		CanonicalFingerprint: func(h *maphash.Hash) uint64 {
-			return cz.Canonical(h, func(h *maphash.Hash, c *sched.Canon) {
-				snap.AppendCanonicalFingerprint(h, c)
-				for s := range machines {
-					machines[c.SlotSrc(s)].(sched.CanonicalFingerprinter).AppendCanonicalFingerprint(h, c)
-				}
+			pc := protoConfig{snap, machines}
+			return cz.Canonical(h, sched.CanonicalConfig{
+				Config: pc.appendConfig, Process: pc.appendProcess, Component: snap.AppendCanonicalComponent,
 			})
 		},
 		Fork: func(gate sched.Stepper) trace.System {
@@ -320,6 +318,25 @@ func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.Run
 			return protoSystem(inst, snap2, res2, proto.ForkMachines(machines, snap2, res2), cz)
 		},
 	}
+}
+
+// protoConfig is a protocol configuration as the canonicalizer reads it:
+// the snapshot's state followed by every machine's in canonical slot order,
+// or one machine alone for the per-process invariants.
+type protoConfig struct {
+	snap     *shmem.MWSnapshot
+	machines []sched.Machine
+}
+
+func (pc protoConfig) appendConfig(h *maphash.Hash, c *sched.Canon) {
+	pc.snap.AppendCanonicalFingerprint(h, c)
+	for s := range pc.machines {
+		pc.appendProcess(h, c.SlotSrc(s), c)
+	}
+}
+
+func (pc protoConfig) appendProcess(h *maphash.Hash, pid int, c *sched.Canon) {
+	pc.machines[pid].(sched.CanonicalFingerprinter).AppendCanonicalFingerprint(h, c)
 }
 
 // CheckReport is the outcome of an exhaustive exploration.

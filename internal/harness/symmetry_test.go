@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"hash/maphash"
+	"sync"
 	"testing"
 
 	"revisionist/internal/proto"
@@ -244,5 +246,117 @@ func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
 	sys.Fingerprint(&hp)
 	if canon != hp.Sum64() {
 		t.Fatal("trivial-group canonical fingerprint differs from the plain fingerprint")
+	}
+}
+
+// TestCanonicalPartitionMatchesFullGroup is the exactness contract of the
+// candidate-only canonical fingerprint on the registered protocols: over
+// every configuration a plain-fingerprint pruned search reaches, Canonical
+// and the full-group minimum (sched.Canonicalizer.MinOverGroup) must induce
+// the same partition — no orbit split, no two orbits merged.
+func TestCanonicalPartitionMatchesFullGroup(t *testing.T) {
+	cases := []struct {
+		name   string
+		params protocol.Params
+		depth  int
+		// collapses: some reachable configurations share an orbit. aa2's two
+		// halvers hold different inputs it may not rename, so its reachable
+		// orbits are singletons.
+		collapses bool
+	}{
+		{"firstvalue", protocol.Params{N: 3}, 14, true},
+		{"firstvalue", protocol.Params{N: 4}, 10, true},
+		{"firstvalue", protocol.Params{N: 5}, 5, true},
+		{"firstvalue-consensus", protocol.Params{N: 3}, 12, true},
+		{"singleton", protocol.Params{N: 3}, 10, true},
+		{"kset", protocol.Params{N: 4, K: 3}, 12, true},
+		{"lane-kset", protocol.Params{N: 4, K: 3, X: 1}, 12, true},
+		{"aa2", protocol.Params{N: 2}, 12, false},
+		{"aan", protocol.Params{N: 3}, 10, true},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/n=%d", c.name, c.params.N), func(t *testing.T) {
+			pr := protocol.MustLookup(c.name)
+			p, err := pr.Resolve(c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cz := canonicalizer(pr, p)
+			if cz.Size() < 2 {
+				t.Fatalf("group of size %d: nothing to compare", cz.Size())
+			}
+			var mu sync.Mutex
+			fwd, back := map[uint64]uint64{}, map[uint64]uint64{}
+			plain := map[uint64]bool{}
+			build := func(gate sched.Stepper) trace.System {
+				inst, err := pr.Instantiate(p)
+				if err != nil {
+					panic(err)
+				}
+				res := proto.NewRunResult(len(inst.Procs))
+				snap := shmem.NewMWSnapshot("M", gate, inst.M, nil)
+				machines := proto.Machines(inst.Procs, snap, res)
+				sys := protoSystem(inst, snap, res, machines, cz)
+				fp := sys.Fingerprint
+				h := sched.NewFingerprintHash()
+				sys.Fingerprint = func(hp *maphash.Hash) {
+					fp(hp)
+					pc := protoConfig{snap, machines}
+					cfg := sched.CanonicalConfig{
+						Config: pc.appendConfig, Process: pc.appendProcess, Component: snap.AppendCanonicalComponent,
+					}
+					got, want := cz.Canonical(&h, cfg), cz.MinOverGroup(&h, cfg)
+					plain[hp.Sum64()] = true
+					mu.Lock()
+					defer mu.Unlock()
+					if w, ok := fwd[got]; ok && w != want {
+						t.Errorf("Canonical merges two full-group classes (%#x)", got)
+					}
+					if g, ok := back[want]; ok && g != got {
+						t.Errorf("Canonical splits a full-group class (%#x)", want)
+					}
+					fwd[got], back[want] = want, got
+				}
+				return sys
+			}
+			_, err = trace.Explore(p.N, build, trace.ExploreOpts{
+				MaxDepth: c.depth, MaxRuns: 200_000, MaxViolations: 1 << 20,
+				Prune: true, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) < 2 || c.collapses && len(back) >= len(plain) {
+				t.Fatalf("%d orbits over %d configurations: the search did not exercise the group",
+					len(back), len(plain))
+			}
+		})
+	}
+}
+
+// TestCanonicalFingerprintAllocFree: a canonical fingerprint call makes no
+// heap allocation, with invariants tied (the initial configuration hashes
+// the whole group) or not.
+func TestCanonicalFingerprintAllocFree(t *testing.T) {
+	pr := protocol.MustLookup("firstvalue")
+	p, err := pr.Resolve(protocol.Params{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := pr.Instantiate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := proto.NewRunResult(len(inst.Procs))
+	snap := shmem.NewMWSnapshot("M", shmem.Free{}, inst.M, nil)
+	sys := protoSystem(inst, snap, res, proto.Machines(inst.Procs, snap, res), canonicalizer(pr, p))
+	h := sched.NewFingerprintHash()
+	for _, schedule := range [][]int{{}, {3, 3, 1}} {
+		for _, pid := range schedule {
+			sys.Machines[pid].Resume()
+		}
+		if a := testing.AllocsPerRun(20, func() { sys.CanonicalFingerprint(&h) }); a != 0 {
+			t.Errorf("after %v: %v allocations per canonical fingerprint", schedule, a)
+		}
 	}
 }

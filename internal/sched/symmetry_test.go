@@ -154,6 +154,28 @@ func TestCanonMaps(t *testing.T) {
 	}
 }
 
+// vecConfig is a configuration vector with one byte of local state per
+// process and no shared components.
+type vecConfig []byte
+
+func (v vecConfig) AppendCanonicalFingerprint(h *maphash.Hash, c *Canon) {
+	for s := range v {
+		h.WriteByte(v[c.SlotSrc(s)])
+	}
+}
+
+func (v vecConfig) AppendCanonicalProcess(h *maphash.Hash, pid int, c *Canon) {
+	h.WriteByte(v[pid])
+}
+
+func (v vecConfig) config() CanonicalConfig {
+	return CanonicalConfig{
+		Config:    v.AppendCanonicalFingerprint,
+		Process:   v.AppendCanonicalProcess,
+		Component: func(*maphash.Hash, int, *Canon) {},
+	}
+}
+
 // TestCanonicalMinimizesOverOrbit is the algebraic heart: hashing a
 // configuration vector through Canonical must give the same value for every
 // permutation of the class members' entries, and a different value for a
@@ -164,13 +186,7 @@ func TestCanonicalMinimizesOverOrbit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h maphash.Hash
-	fp := func(cfg []byte) uint64 {
-		return cz.Canonical(&h, func(h *maphash.Hash, c *Canon) {
-			for s := 0; s < len(cfg); s++ {
-				h.WriteByte(cfg[c.SlotSrc(s)])
-			}
-		})
-	}
+	fp := func(cfg []byte) uint64 { return cz.Canonical(&h, vecConfig(cfg).config()) }
 	orbit := [][]byte{{7, 7, 9}, {7, 9, 7}, {9, 7, 7}}
 	want := fp(orbit[0])
 	for _, cfg := range orbit[1:] {
@@ -180,5 +196,152 @@ func TestCanonicalMinimizesOverOrbit(t *testing.T) {
 	}
 	if got := fp([]byte{9, 9, 7}); got == want {
 		t.Error("configuration outside the orbit collapsed onto it")
+	}
+}
+
+// TestCanonicalCandidateCount pins the cost model: distinct invariants leave
+// exactly one candidate, all-equal invariants leave the whole group, and a
+// run of r equal invariants contributes r! candidates per class.
+func TestCanonicalCandidateCount(t *testing.T) {
+	cases := []struct {
+		name    string
+		classes [][]int
+		cfg     []byte
+		want    int
+	}{
+		{"distinct", [][]int{{0, 1, 2, 3}}, []byte{4, 1, 3, 2}, 1},
+		{"all equal", [][]int{{0, 1, 2, 3}}, []byte{5, 5, 5, 5}, 24},
+		{"one tied pair", [][]int{{0, 1, 2, 3}}, []byte{5, 1, 5, 2}, 2},
+		{"two classes, all equal", [][]int{{0, 1, 2}, {3, 4}}, []byte{1, 1, 1, 1, 1}, 12},
+		{"two classes, one tie each", [][]int{{0, 1, 2}, {3, 4}}, []byte{1, 2, 1, 3, 3}, 4},
+		{"fixed pid outside", [][]int{{1, 2}}, []byte{9, 4, 4}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cz, err := NewCanonicalizer(SymmetrySpec{N: len(c.cfg), Classes: c.classes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var h maphash.Hash
+			cfg := vecConfig(c.cfg).config()
+			hashed := 0
+			whole := cfg.Config
+			cfg.Config = func(h *maphash.Hash, e *Canon) { hashed++; whole(h, e) }
+			cz.Canonical(&h, cfg)
+			if hashed != c.want {
+				t.Errorf("hashed %d candidates, want %d", hashed, c.want)
+			}
+		})
+	}
+}
+
+// TestRankPermutationInvertsUnrank: the group's mixed-radix layout relies on
+// the Lehmer rank being the inverse of unranking, in lexicographic order.
+func TestRankPermutationInvertsUnrank(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		p := identityPerm(n)
+		for r := 0; r < factorial(n); r++ {
+			u := make([]int, n)
+			unrankPermutation(r, u)
+			if got := rankPermutation(u); got != r {
+				t.Fatalf("n=%d: rank(unrank(%d)) = %d", n, r, got)
+			}
+			for i := range p {
+				if p[i] != u[i] {
+					t.Fatalf("n=%d r=%d: lexicographic successor %v, unrank %v", n, r, p, u)
+				}
+			}
+			if more := nextPermutation(p); more != (r+1 < factorial(n)) {
+				t.Fatalf("n=%d r=%d: nextPermutation reported %v", n, r, more)
+			}
+		}
+	}
+}
+
+// toyConfig is a configuration with pid-embedding process states and owned
+// components: process pid holds a value and a reference to some pid (or -1),
+// and owns component pid when it is a class member.
+type toyConfig struct {
+	val, ref, comp []int
+}
+
+func (t toyConfig) AppendCanonicalFingerprint(h *maphash.Hash, c *Canon) {
+	for j := range t.comp {
+		t.AppendCanonicalComponent(h, c.CompSrc(j), c)
+	}
+	for s := range t.val {
+		t.AppendCanonicalProcess(h, c.SlotSrc(s), c)
+	}
+}
+
+func (t toyConfig) AppendCanonicalProcess(h *maphash.Hash, pid int, c *Canon) {
+	maphash.WriteComparable(h, t.val[pid])
+	maphash.WriteComparable(h, c.Pid(t.ref[pid]))
+}
+
+func (t toyConfig) AppendCanonicalComponent(h *maphash.Hash, j int, c *Canon) {
+	maphash.WriteComparable(h, t.comp[j])
+}
+
+func (t toyConfig) config() CanonicalConfig {
+	return CanonicalConfig{
+		Config:    t.AppendCanonicalFingerprint,
+		Process:   t.AppendCanonicalProcess,
+		Component: t.AppendCanonicalComponent,
+	}
+}
+
+// TestCanonicalPartitionMatchesFullGroup checks exactness exhaustively on a
+// small space: over every toy configuration of four processes — a class of
+// three owning one component each plus one fixed process, states embedding
+// pids — Canonical and the full-group minimum must induce the same
+// partition, and so each orbit must map to exactly one fingerprint.
+func TestCanonicalPartitionMatchesFullGroup(t *testing.T) {
+	cz, err := NewCanonicalizer(SymmetrySpec{
+		N:       4,
+		Classes: [][]int{{0, 1, 2}},
+		Owned:   [][]int{{0}, {1}, {2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewFingerprintHash()
+	fwd, back := map[uint64]uint64{}, map[uint64]uint64{}
+	refs := []int{-1, 0, 1, 3}
+	cfg := toyConfig{val: make([]int, 4), ref: make([]int, 4), comp: make([]int, 3)}
+	var rec func(d int)
+	rec = func(d int) {
+		if d == 11 {
+			got, want := cz.Canonical(&h, cfg.config()), cz.MinOverGroup(&h, cfg.config())
+			if w, ok := fwd[got]; ok && w != want {
+				t.Fatalf("%+v: Canonical merges two full-group classes", cfg)
+			}
+			if g, ok := back[want]; ok && g != got {
+				t.Fatalf("%+v: Canonical splits a full-group class", cfg)
+			}
+			fwd[got], back[want] = want, got
+			return
+		}
+		switch {
+		case d < 4:
+			for v := 0; v < 2; v++ {
+				cfg.val[d] = v
+				rec(d + 1)
+			}
+		case d < 8:
+			for _, r := range refs {
+				cfg.ref[d-4] = r
+				rec(d + 1)
+			}
+		default:
+			for v := 0; v < 2; v++ {
+				cfg.comp[d-8] = v
+				rec(d + 1)
+			}
+		}
+	}
+	rec(0)
+	if len(fwd) == 0 || len(fwd) == 1<<4*256*8 {
+		t.Fatalf("%d classes: the space did not exercise the group", len(fwd))
 	}
 }

@@ -235,6 +235,13 @@ func (s *MWSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon)
 	}
 }
 
+// AppendCanonicalComponent appends the value of component j alone under c,
+// as it appears inside AppendCanonicalFingerprint (sched.CanonicalConfig
+// reads owned components through it).
+func (s *MWSnapshot) AppendCanonicalComponent(h *maphash.Hash, j int, c *sched.Canon) {
+	appendValue(h, s.comps[j], c)
+}
+
 // AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
 func (s *MaxSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpMaxSnapshot)

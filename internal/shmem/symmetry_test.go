@@ -7,10 +7,13 @@ import (
 	"revisionist/internal/sched"
 )
 
-// canonFp computes the canonical fingerprint of one object under cz.
+// canonFp computes the canonical fingerprint of one object under cz. The
+// object has no per-process state, so every invariant ties and Canonical
+// minimizes over the whole group.
 func canonFp(cz *sched.Canonicalizer, append func(h *maphash.Hash, c *sched.Canon)) uint64 {
 	h := sched.NewFingerprintHash()
-	return cz.Canonical(&h, append)
+	none := func(*maphash.Hash, int, *sched.Canon) {}
+	return cz.Canonical(&h, sched.CanonicalConfig{Config: append, Process: none, Component: none})
 }
 
 func swapPair(t *testing.T, owned [][]int, roles map[any]int) *sched.Canonicalizer {

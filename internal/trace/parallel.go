@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -79,11 +80,21 @@ const maxFrontier = 512
 // are p's children. Expansion proceeds level by level until the frontier
 // reaches target, probing is no longer making progress, or the probe budget
 // is spent. Probe runs are discarded — each one is re-executed as its
-// subtree's first run — so probe errors are deliberately ignored here: the
-// owning worker hits the same error at its canonical position.
-func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [][]int {
+// subtree's first run — so probe run errors are deliberately ignored here:
+// the owning worker hits the same error at its canonical position. A probe
+// whose replayed prefix diverged is different: the factory is
+// nondeterministic, and the re-execution need not diverge again, so the
+// replay-divergence error fails the search here. So does a probe whose
+// prefix lies on the first probe's schedule but which does not retrace that
+// schedule to its end: the subtrees replay only schedules recorded on later
+// systems, so a factory whose systems change after the first builds would
+// otherwise go unnoticed on every sharded path (the sequential loop catches
+// it because its backtracking replays schedules recorded on the earliest
+// systems).
+func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) ([][]int, error) {
 	frontier := [][]int{{}}
 	strat := &recStrategy{maxDepth: opts.MaxDepth}
+	var root []int // the first probe's schedule, when it ran cleanly
 	probes := 0
 	probeBudget := 8 * target
 	for depth := 0; depth < opts.MaxDepth && len(frontier) < target && probes < probeBudget; depth++ {
@@ -97,7 +108,7 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [
 			strat.reset(p)
 			eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
 			if err != nil {
-				return [][]int{{}} // invalid engine: let the caller's first run surface it
+				return [][]int{{}}, nil // invalid engine: let the caller's first run surface it
 			}
 			sys := factory(eng)
 			if sys.Machines != nil {
@@ -105,9 +116,19 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [
 			} else {
 				_, err = eng.Run(sys.Body)
 			}
-			if err != nil || strat.diverged != nil || len(strat.picks) <= depth {
-				// The run failed (or diverged), or ended without a decision at
-				// this level: the prefix is a complete (single-run) subtree.
+			if strat.diverged != nil {
+				return nil, strat.diverged
+			}
+			if err == nil {
+				if depth == 0 {
+					root = append([]int{}, strat.picks...)
+				} else if onPath(p, root) && !slices.Equal(strat.picks, root) {
+					return nil, retraceDivergence(root, strat.picks)
+				}
+			}
+			if err != nil || len(strat.picks) <= depth {
+				// The run failed, or ended without a decision at this level:
+				// the prefix is a complete (single-run) subtree.
 				next = append(next, p)
 				continue
 			}
@@ -120,7 +141,22 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [
 		}
 		frontier = next
 	}
-	return frontier
+	return frontier, nil
+}
+
+// onPath reports whether prefix p is a prefix of schedule root.
+func onPath(p, root []int) bool {
+	return len(p) <= len(root) && slices.Equal(p, root[:len(p)])
+}
+
+// retraceDivergence builds the error reported when a probe starting on the
+// first probe's schedule did not retrace it.
+func retraceDivergence(root, got []int) error {
+	step := 0
+	for step < min(len(root), len(got)) && root[step] == got[step] {
+		step++
+	}
+	return fmt.Errorf("trace: schedule replay diverged at step %d: the first system built ran schedule %v, a later one ran %v; Explore requires the factory to build deterministic systems (consecutive calls must produce identical behaviour)", step, root, got)
 }
 
 // subViolation is one violation found inside a subtree, positioned by its
@@ -363,7 +399,10 @@ func exploreParallel(nprocs int, factory Factory, opts ExploreOpts, workers int)
 	if opts.MaxRuns > 0 {
 		target = min(target, opts.MaxRuns)
 	}
-	frontier := expandFrontier(nprocs, factory, opts, max(target, 1))
+	frontier, err := expandFrontier(nprocs, factory, opts, max(target, 1))
+	if err != nil {
+		return nil, err
+	}
 	if len(frontier) <= 1 {
 		return exploreSequential(nprocs, factory, opts)
 	}

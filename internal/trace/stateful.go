@@ -493,21 +493,25 @@ func exploreStateful(nprocs int, factory Factory, opts ExploreOpts, workers int)
 	// Frontier: fixed size when pruning (the sharing structure must not
 	// depend on Workers), legacy worker-scaled size for checkpoint-only.
 	var frontier [][]int
+	var err error
 	switch {
 	case opts.Prune && nprocs > 1:
 		target := pruneFrontierTarget
 		if opts.MaxRuns > 0 {
 			target = min(target, opts.MaxRuns)
 		}
-		frontier = expandFrontier(nprocs, factory, opts, max(target, 1))
+		frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
 	case !opts.Prune && workers > 1 && nprocs > 1:
 		target := min(frontierTarget*workers, maxFrontier)
 		if opts.MaxRuns > 0 {
 			target = min(target, opts.MaxRuns)
 		}
-		frontier = expandFrontier(nprocs, factory, opts, max(target, 1))
+		frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
 	default:
 		frontier = [][]int{{}}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	sh := &exploreShared{

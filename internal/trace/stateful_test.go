@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"revisionist/internal/algorithms"
@@ -210,32 +211,59 @@ func TestSymmetryRequiresCapabilities(t *testing.T) {
 
 // TestExploreDivergenceFails: a nondeterministic factory must fail the
 // exploration with a descriptive replay-divergence error instead of silently
-// mis-exploring (the old enabled[0] fallback).
+// mis-exploring (the old enabled[0] fallback) — on every search path: the
+// sequential loop, the parallel planner's probes, the pruned explorer and
+// the distributed plan.
 func TestExploreDivergenceFails(t *testing.T) {
-	builds := 0
-	factory := func(gate sched.Stepper) System {
-		reg := shmem.NewRegister("R", gate, nil)
-		ops1 := 2
-		if builds >= 2 {
-			ops1 = 1 // process 1 shrinks from the third construction on
-		}
-		builds++
-		return System{
-			Body: func(pid int) {
-				n := 2
-				if pid == 1 {
-					n = ops1
-				}
-				for i := 0; i < n; i++ {
-					reg.Write(pid, pid)
-				}
-			},
-			Check: func(*sched.Result) error { return nil },
+	// divergent returns a fresh factory whose process 1 shrinks from the
+	// third construction on. Several workers may build at once.
+	divergent := func() Factory {
+		var builds atomic.Int64
+		return func(gate sched.Stepper) System {
+			reg := shmem.NewRegister("R", gate, nil)
+			ops1 := 2
+			if builds.Add(1) > 2 {
+				ops1 = 1
+			}
+			var wrote [2]int
+			return System{
+				Body: func(pid int) {
+					n := 2
+					if pid == 1 {
+						n = ops1
+					}
+					for i := 0; i < n; i++ {
+						reg.Write(pid, pid)
+						wrote[pid]++
+					}
+				},
+				Check: func(*sched.Result) error { return nil },
+				Fingerprint: func(h *maphash.Hash) {
+					reg.AppendFingerprint(h)
+					maphash.WriteComparable(h, wrote)
+				},
+			}
 		}
 	}
-	_, err := Explore(2, factory, ExploreOpts{MaxDepth: 10})
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("want replay-divergence error, got %v", err)
+	wantDiverged := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "diverged") {
+			t.Fatalf("want replay-divergence error, got %v", err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		for _, prune := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/prune=%v", workers, prune), func(t *testing.T) {
+				_, err := Explore(2, divergent(), ExploreOpts{MaxDepth: 10, Workers: workers, Prune: prune})
+				wantDiverged(t, err)
+			})
+		}
+	}
+	for _, prune := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SubtreePlan/prune=%v", prune), func(t *testing.T) {
+			_, _, err := SubtreePlan(2, divergent(), ExploreOpts{MaxDepth: 10, Prune: prune})
+			wantDiverged(t, err)
+		})
 	}
 }
 

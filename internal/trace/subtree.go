@@ -205,7 +205,10 @@ func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]in
 	if opts.MaxRuns > 0 {
 		target = min(target, opts.MaxRuns)
 	}
-	frontier = expandFrontier(nprocs, factory, opts, max(target, 1))
+	frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
+	if err != nil {
+		return nil, 0, err
+	}
 	if opts.Prune {
 		return frontier, pruneWaveWidth, nil
 	}
