@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test test-cpu race bench bench-smoke perfbench ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke
+.PHONY: all vet build test test-cpu race bench bench-explore bench-smoke perfbench ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke
 
 all: ci
 
@@ -33,6 +33,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=1 -json ./... > $(BENCH_OUT)
 	@grep -o '"Output":".*ns/op[^"]*"' $(BENCH_OUT) | sed -e 's/"Output":"//' -e 's/\\t/\t/g' -e 's/\\n"//' || true
 	@echo wrote $(BENCH_OUT)
+
+# The explorer benchmarks, repeated at one proc and at every proc: run it
+# on two checkouts, alternately, to compare a change against its parent.
+bench-explore:
+	$(GO) test -run '^$$' -bench 'BenchmarkExplore(Engines|Parallel|Pruned|Symmetry)$$' -benchmem -count=6 -cpu 1,$$(nproc) .
 
 # One iteration of every benchmark: catches bit-rot without the cost.
 bench-smoke:

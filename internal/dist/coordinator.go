@@ -1,6 +1,7 @@
 // Package dist is the distributed schedule search: the subtree-sharding and
-// deterministic-merge protocol of the in-process parallel explorer
-// (internal/trace/parallel.go) lifted across a transport boundary.
+// deterministic-merge protocol of the in-process explorer
+// (internal/trace/stateful.go and parallel.go, exported piecewise by
+// subtree.go) lifted across a transport boundary.
 //
 // A coordinator probes the first DFS decision levels of the schedule tree
 // into a canonical frontier of disjoint subtree prefixes (trace.SubtreePlan),

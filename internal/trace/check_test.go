@@ -92,15 +92,17 @@ func TestAugSnapshotSpecExhaustiveTiny(t *testing.T) {
 			},
 		}
 	}
-	rep, err := Explore(2, factory, ExploreOpts{MaxDepth: 40, MaxRuns: 30_000})
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range testWorkers {
+		rep, err := Explore(2, factory, ExploreOpts{MaxDepth: 40, MaxRuns: 30_000, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) > 0 {
+			v := rep.Violations[0]
+			t.Fatalf("workers=%d: spec violated on schedule %v: %v", w, v.Schedule, v.Err)
+		}
+		t.Logf("workers=%d: explored %d schedules (truncated %d, exhausted %v)", w, rep.Runs, rep.Truncated, rep.Exhausted)
 	}
-	if len(rep.Violations) > 0 {
-		v := rep.Violations[0]
-		t.Fatalf("spec violated on schedule %v: %v", v.Schedule, v.Err)
-	}
-	t.Logf("explored %d schedules (truncated %d, exhausted %v)", rep.Runs, rep.Truncated, rep.Exhausted)
 }
 
 func TestLinearizeOrdersYieldedUpdates(t *testing.T) {

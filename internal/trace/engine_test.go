@@ -14,31 +14,33 @@ import (
 // same tree (same run count, truncation count and violations) on both
 // engines — exploration semantics are engine-independent.
 func TestExploreIdenticalAcrossEngines(t *testing.T) {
-	for _, mkOpts := range []ExploreOpts{
-		{MaxDepth: 10},
-		{MaxDepth: 10, MaxViolations: 10},
-	} {
-		g := mkOpts
-		g.Engine = sched.EngineGoroutine
-		s := mkOpts
-		s.Engine = sched.EngineSeq
-		grep, err := Explore(2, counterSystem(1), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srep, err := Explore(2, counterSystem(1), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grep.Runs != srep.Runs || grep.Truncated != srep.Truncated || grep.Exhausted != srep.Exhausted {
-			t.Fatalf("reports differ: goroutine %+v, seq %+v", grep, srep)
-		}
-		if len(grep.Violations) != len(srep.Violations) {
-			t.Fatalf("violation counts differ: %d vs %d", len(grep.Violations), len(srep.Violations))
-		}
-		for i := range grep.Violations {
-			if !reflect.DeepEqual(grep.Violations[i].Schedule, srep.Violations[i].Schedule) {
-				t.Fatalf("violation %d schedules differ: %v vs %v", i, grep.Violations[i].Schedule, srep.Violations[i].Schedule)
+	for _, w := range testWorkers {
+		for _, mkOpts := range []ExploreOpts{
+			{MaxDepth: 10, Workers: w},
+			{MaxDepth: 10, MaxViolations: 10, Workers: w},
+		} {
+			g := mkOpts
+			g.Engine = sched.EngineGoroutine
+			s := mkOpts
+			s.Engine = sched.EngineSeq
+			grep, err := Explore(2, counterSystem(1), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srep, err := Explore(2, counterSystem(1), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grep.Runs != srep.Runs || grep.Truncated != srep.Truncated || grep.Exhausted != srep.Exhausted {
+				t.Fatalf("workers=%d: reports differ: goroutine %+v, seq %+v", w, grep, srep)
+			}
+			if len(grep.Violations) != len(srep.Violations) {
+				t.Fatalf("workers=%d: violation counts differ: %d vs %d", w, len(grep.Violations), len(srep.Violations))
+			}
+			for i := range grep.Violations {
+				if !reflect.DeepEqual(grep.Violations[i].Schedule, srep.Violations[i].Schedule) {
+					t.Fatalf("workers=%d: violation %d schedules differ: %v vs %v", w, i, grep.Violations[i].Schedule, srep.Violations[i].Schedule)
+				}
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 // Package trace provides execution-history tooling: bounded exhaustive
-// schedule exploration (this file), and offline linearization plus
-// specification checking for the augmented snapshot object (see check.go).
+// schedule exploration — the option and report types and the Explore entry
+// point (this file), the one DFS explorer that runs every search
+// (stateful.go), frontier sharding and the deterministic merge (parallel.go)
+// and its exported per-subtree form (subtree.go) — plus seeded adversarial
+// search (fuzz.go) and offline linearization and specification checking for
+// the augmented snapshot object (check.go).
 package trace
 
 import (
@@ -29,8 +33,9 @@ type ExploreOpts struct {
 	// Workers sets the search worker-pool size: the DFS prefix tree is
 	// sharded into disjoint subtrees (see parallel.go) drained by this many
 	// workers, and the per-subtree results are merged back in canonical DFS
-	// order, so the report is byte-identical to the sequential one for any
-	// worker count. 0 selects GOMAXPROCS; 1 runs the legacy sequential loop.
+	// order, so the report is byte-identical for any worker count. 0 selects
+	// GOMAXPROCS; 1 explores the unpruned tree as a single subtree, with no
+	// frontier probes.
 	Workers int
 	// Prune enables state-fingerprint pruning (see stateful.go): the
 	// configuration hash after each decision is looked up in a visited-state
@@ -147,179 +152,56 @@ type System struct {
 // state — must be built fresh per call.
 type Factory func(gate sched.Stepper) System
 
-// recStrategy replays a prefix, then always picks the first enabled process,
-// recording every decision so the explorer can backtrack to siblings. The
-// recorded enabled sets live in a flat arena (reused across schedules) so
-// recording a step allocates nothing once warm.
-type recStrategy struct {
-	prefix   []int
-	maxDepth int
-	flat     []int // concatenation of the enabled sets, per decision depth
-	offs     []int // offs[d]..offs[d+1] frames depth d's enabled set in flat
-	picks    []int
-	trunc    bool
-	diverged error // replay divergence: a prefix pick was not enabled
-}
-
-// reset prepares the strategy for the next schedule, keeping the arenas.
-func (s *recStrategy) reset(prefix []int) {
-	s.prefix = prefix
-	s.flat = s.flat[:0]
-	s.offs = s.offs[:0]
-	s.picks = s.picks[:0]
-	s.trunc = false
-	s.diverged = nil
-}
-
-// enabledAt returns the recorded enabled set of decision depth d.
-func (s *recStrategy) enabledAt(d int) []int {
-	return s.flat[s.offs[d]:s.offs[d+1]]
-}
-
-func (s *recStrategy) Pick(step int, enabled []int) int {
-	if step >= s.maxDepth {
-		s.trunc = true
-		return sched.Halt
-	}
-	pick := enabled[0]
-	if step < len(s.prefix) {
-		pick = s.prefix[step]
-		if !pidEnabled(enabled, pick) {
-			// Deterministic systems replay identically; reaching here means
-			// the factory is nondeterministic, which the explorer cannot
-			// handle: exploring on would silently visit a different tree.
-			// Record the divergence and halt; the run surfaces it as an error.
-			s.diverged = replayDivergence(step, pick, enabled)
-			return sched.Halt
-		}
-	}
-	if len(s.offs) == 0 {
-		s.offs = append(s.offs, 0)
-	}
-	s.flat = append(s.flat, enabled...)
-	s.offs = append(s.offs, len(s.flat))
-	s.picks = append(s.picks, pick)
-	return pick
-}
-
-// pidEnabled reports whether pick appears in the sorted enabled set.
-func pidEnabled(enabled []int, pick int) bool {
-	for _, pid := range enabled {
-		if pid == pick {
-			return true
-		}
-	}
-	return false
-}
-
-// replayDivergence builds the error reported when a replayed prefix pick is
-// not enabled — the signature of a nondeterministic factory.
-func replayDivergence(step, pick int, enabled []int) error {
-	return fmt.Errorf("trace: schedule replay diverged at step %d: recorded pick %d is not in the enabled set %v; Explore requires the factory to build deterministic systems (consecutive calls must produce identical behaviour)", step, pick, enabled)
-}
-
 // Explore enumerates schedules of the nprocs-process system produced by
 // factory, depth-first over scheduler choices, until the space is exhausted
 // or a bound is hit. Each schedule runs on a fresh engine of opts.Engine
-// (sequential by default: no per-schedule goroutine system is built). With
-// opts.Workers != 1 the DFS tree is sharded across a worker pool; the report
-// is byte-identical to the sequential one regardless of worker count. With
-// opts.Prune or opts.Checkpoint the stateful explorer (stateful.go) runs
-// instead of the plain schedule enumerator.
+// (sequential by default: no per-schedule goroutine system is built). Every
+// search runs through the one explorer of stateful.go: the DFS tree is
+// sharded into a frontier of subtrees drained by opts.Workers workers and
+// merged back in canonical order, so the report is byte-identical for any
+// worker count. Without Prune or Checkpoint the explorer enumerates every
+// schedule; with them it cuts visited configurations and forks runs from
+// checkpoints.
 func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
+	return exploreStateful(nprocs, factory, opts, ResolveWorkers(opts.Workers))
+}
+
+// validate checks the option contracts before any schedule runs, for every
+// entry point (Explore, SubtreePlan, RunSubtree). An unpruned,
+// non-checkpointed search needs only a valid engine kind; pruning and
+// checkpointing also check a probe system's capabilities: the fingerprint
+// for pruning, the fork/machine contract for checkpointing.
+func validate(nprocs int, factory Factory, opts ExploreOpts) error {
 	if opts.MaxDepth <= 0 {
-		return nil, fmt.Errorf("trace: MaxDepth must be positive")
+		return fmt.Errorf("trace: MaxDepth must be positive")
 	}
 	if opts.Symmetry && !opts.Prune {
-		return nil, fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
+		return fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
 	}
-	workers := ResolveWorkers(opts.Workers)
-	if opts.Prune || opts.Checkpoint {
-		return exploreStateful(nprocs, factory, opts, workers)
+	kind := opts.Engine
+	if kind == "" {
+		kind = sched.DefaultEngine
 	}
-	if workers > 1 && nprocs > 1 {
-		return exploreParallel(nprocs, factory, opts, workers)
+	probe, err := sched.NewEngine(kind, nprocs, sched.Lowest{})
+	if err != nil || !opts.Prune && !opts.Checkpoint {
+		return err
 	}
-	return exploreSequential(nprocs, factory, opts)
-}
-
-// exploreSequential is the single-core DFS loop: one schedule at a time,
-// backtracking in place. The parallel path runs this same loop per subtree
-// (see exploreSubtree) and merges, which is what keeps the two byte-identical.
-func exploreSequential(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
+	caps := factory(probe)
+	if opts.Prune && caps.Fingerprint == nil {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fingerprint (the factory's systems expose no configuration fingerprint)")
 	}
-	report := &ExploreReport{}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
-	prefix := []int{}
-	for {
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return report, ErrInterrupted
-		}
-		if opts.MaxRuns > 0 && report.Runs >= opts.MaxRuns {
-			return report, nil
-		}
-		strat.reset(prefix)
-		eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-		if err != nil {
-			return nil, err
-		}
-		sys := factory(eng)
-		var res *sched.Result
-		if sys.Machines != nil {
-			res, err = eng.RunMachines(sys.Machines)
-		} else {
-			res, err = eng.Run(sys.Body)
-		}
-		if err == nil && strat.diverged != nil {
-			err = strat.diverged
-		}
-		report.Runs++
-		if strat.trunc {
-			report.Truncated++
-		}
-		opts.Obs.RunDone(strat.trunc, false, false)
-		if err != nil {
-			return report, fmt.Errorf("trace: run failed on schedule %v: %w", strat.picks, err)
-		}
-		if cerr := sys.Check(res); cerr != nil {
-			sch := make([]int, len(strat.picks))
-			copy(sch, strat.picks)
-			report.Violations = append(report.Violations, Violation{Schedule: sch, Err: cerr})
-			if len(report.Violations) >= maxViol {
-				return report, nil
-			}
-		}
-		// Backtrack: find the deepest decision with an unexplored sibling.
-		next := strat.backtrack(0)
-		if next == nil {
-			report.Exhausted = true
-			return report, nil
-		}
-		prefix = next
+	if opts.Symmetry && caps.CanonicalFingerprint == nil {
+		return fmt.Errorf("trace: ExploreOpts.Symmetry requires System.CanonicalFingerprint (the factory's systems expose no symmetry-reduced fingerprint)")
 	}
-}
-
-// backtrack returns the next prefix in DFS order, never unwinding decisions
-// above floor (the subtree-root length when exploring a shard, 0 for the
-// whole tree), or nil when the (sub)tree is exhausted.
-func (s *recStrategy) backtrack(floor int) []int {
-	for d := len(s.picks) - 1; d >= floor; d-- {
-		opts := s.enabledAt(d)
-		idx := -1
-		for i, pid := range opts {
-			if pid == s.picks[d] {
-				idx = i
-				break
-			}
+	if opts.Checkpoint {
+		if kind != sched.EngineSeq {
+			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires the sequential engine, got %q", kind)
 		}
-		if idx >= 0 && idx+1 < len(opts) {
-			next := make([]int, d+1)
-			copy(next, s.picks[:d])
-			next[d] = opts[idx+1]
-			return next
+		if caps.Fork == nil {
+			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires System.Fork (the factory's systems expose no deep copy)")
+		}
+		if caps.Machines == nil {
+			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires machine-based systems (System.Machines); coroutine-bridged bodies cannot fork")
 		}
 	}
 	return nil

@@ -14,7 +14,10 @@ import (
 )
 
 // SearchObs is the search core's metric bundle. Build one per registry
-// with NewSearchObs; a nil *SearchObs disables all instrumentation.
+// with NewSearchObs; a nil *SearchObs disables all instrumentation. Every
+// search reports its frontier and its waves: a pruned search crosses one
+// wave barrier per pruneWaveWidth subtrees, an unpruned search is one wave
+// over its whole frontier (a single subtree with one worker).
 type SearchObs struct {
 	runs      *obs.Counter
 	truncated *obs.Counter
@@ -46,7 +49,7 @@ func NewSearchObs(r *obs.Registry) *SearchObs {
 		waves:     r.Counter("search_waves_total", "wave barriers crossed"),
 		waveSecs:  r.Histogram("search_wave_seconds", "wave latency: pool run plus closure publication", obs.LatencyBuckets),
 		frontier:  r.Gauge("search_frontier_remaining", "subtree roots not yet explored"),
-		wave:      r.Gauge("search_wave_index", "current wave of the stateful exploration"),
+		wave:      r.Gauge("search_wave_index", "current wave of the exploration"),
 	}
 }
 

@@ -1,15 +1,13 @@
-// Parallel schedule search: the worker-pool Explore path. Exhaustive
-// exploration is embarrassingly parallel over independent fresh-engine runs,
-// so the DFS prefix tree is split into disjoint subtrees — a coordinator
-// expands the first few decision levels into a frontier of prefixes in
-// canonical DFS order — and a pool of workers drains them, each running the
-// same per-subtree DFS loop as the sequential explorer. Per-subtree results
-// carry enough per-run detail (violation ordinals, truncation bits) that the
-// merge can re-cut the search at exactly the run where the sequential loop
-// would have stopped, so the final report is byte-identical to the
-// sequential one for any worker count: violations in canonical schedule
-// order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations enforced
-// through an atomic budget handoff between subtrees.
+// Sharding and merging: how the explorer (stateful.go) spreads one DFS over
+// a worker pool and still reports exactly what a single subtree walk would.
+// The frontier expander probes the first few decision levels into disjoint
+// subtree-root prefixes in canonical DFS order; workers drain the subtrees;
+// each subtree's result carries enough per-run detail (violation ordinals,
+// truncation and prune bits) that the merge can re-cut the search at exactly
+// the run where one walk over the whole tree would have stopped. So the
+// report is byte-identical for any worker count: violations in canonical
+// schedule order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations
+// enforced through an atomic budget handoff between subtrees.
 package trace
 
 import (
@@ -20,8 +18,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"revisionist/internal/sched"
 )
 
 // ResolveWorkers maps a Workers option value to a concrete pool size:
@@ -74,10 +70,12 @@ const frontierTarget = 4
 // subtree run counters).
 const maxFrontier = 512
 
-// expandFrontier splits the DFS tree into disjoint subtree-root prefixes, in
-// canonical DFS order, by probing: one run with prefix p (first-enabled
-// beyond it) reveals the enabled set at decision level len(p), whose members
-// are p's children. Expansion proceeds level by level until the frontier
+// expandFrontier splits the DFS tree into at most about target disjoint
+// subtree-root prefixes (capped by a MaxRuns budget), in canonical DFS
+// order, by probing: one run with prefix p (first-enabled beyond it) reveals
+// the enabled set at decision level len(p), whose members are p's children.
+// Probes run on one unpruned, uncheckpointed explorer whose arenas hold the
+// probe's decisions. Expansion proceeds level by level until the frontier
 // reaches target, probing is no longer making progress, or the probe budget
 // is spent. Probe runs are discarded — each one is re-executed as its
 // subtree's first run — so probe run errors are deliberately ignored here:
@@ -88,12 +86,20 @@ const maxFrontier = 512
 // prefix lies on the first probe's schedule but which does not retrace that
 // schedule to its end: the subtrees replay only schedules recorded on later
 // systems, so a factory whose systems change after the first builds would
-// otherwise go unnoticed on every sharded path (the sequential loop catches
-// it because its backtracking replays schedules recorded on the earliest
-// systems).
+// otherwise go unnoticed on every sharded path (a single-subtree walk
+// catches it because its backtracking replays schedules recorded on the
+// earliest systems).
 func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) ([][]int, error) {
+	if opts.MaxRuns > 0 {
+		target = min(target, opts.MaxRuns)
+	}
 	frontier := [][]int{{}}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
+	if target <= 1 {
+		return frontier, nil
+	}
+	probeOpts := opts
+	probeOpts.Prune, probeOpts.Symmetry, probeOpts.Checkpoint = false, false, false
+	ex := newExplorer(nprocs, factory, probeOpts)
 	var root []int // the first probe's schedule, when it ran cleanly
 	probes := 0
 	probeBudget := 8 * target
@@ -105,34 +111,25 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) (
 				continue
 			}
 			probes++
-			strat.reset(p)
-			eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-			if err != nil {
-				return [][]int{{}}, nil // invalid engine: let the caller's first run surface it
-			}
-			sys := factory(eng)
-			if sys.Machines != nil {
-				_, err = eng.RunMachines(sys.Machines)
-			} else {
-				_, err = eng.Run(sys.Body)
-			}
+			ex.truncTo(0)
+			strat, _, err := ex.runOnce(p, nil)
 			if strat.diverged != nil {
 				return nil, strat.diverged
 			}
 			if err == nil {
 				if depth == 0 {
-					root = append([]int{}, strat.picks...)
-				} else if onPath(p, root) && !slices.Equal(strat.picks, root) {
-					return nil, retraceDivergence(root, strat.picks)
+					root = append([]int{}, ex.picks...)
+				} else if onPath(p, root) && !slices.Equal(ex.picks, root) {
+					return nil, retraceDivergence(root, ex.picks)
 				}
 			}
-			if err != nil || len(strat.picks) <= depth {
+			if err != nil || len(ex.picks) <= depth {
 				// The run failed, or ended without a decision at this level:
 				// the prefix is a complete (single-run) subtree.
 				next = append(next, p)
 				continue
 			}
-			for _, c := range strat.enabledAt(depth) {
+			for _, c := range ex.enabledAt(depth) {
 				child := make([]int, depth+1)
 				copy(child, p)
 				child[depth] = c
@@ -161,11 +158,11 @@ func retraceDivergence(root, got []int) error {
 
 // subViolation is one violation found inside a subtree, positioned by its
 // run ordinal so the merge can apply MaxViolations at the exact run where
-// the sequential loop would have stopped.
+// a single walk over the whole tree would have stopped.
 type subViolation struct {
 	ord      int // run ordinal within the subtree
 	truncCum int // truncated runs among ordinals [0, ord], inclusive
-	// prunedCum and distinctCum position the stateful explorer's counters at
+	// prunedCum and distinctCum position the prune counters at
 	// this violation: cut runs among ordinals [0, ord] (the violating run is
 	// never cut) and states closed before the violating run's backtrack (a
 	// violation cutoff stops the loop before closures).
@@ -183,25 +180,25 @@ type subtreeResult struct {
 	exhausted bool // the subtree's whole space was covered
 	viols     []subViolation
 
-	// pruned and distinct are the stateful explorer's counters (zero for the
-	// plain schedule enumerator).
+	// pruned and distinct are the visited-state cache's counters (zero
+	// without Prune).
 	pruned   int
 	distinct int
 
 	// truncBits and pruneBits record, per run ordinal, whether the run was
 	// truncated or cut; distCums[i] is the closed-state count through run i's
-	// backtrack. All three are only tracked under a MaxRuns budget, where the
-	// merge may need the counters of an arbitrary run prefix.
+	// backtrack (pruned searches only). All three are only tracked under a
+	// MaxRuns budget, where the merge may need the counters of an arbitrary
+	// run prefix.
 	truncBits  []uint64
 	pruneBits  []uint64
 	distCums   []int32
 	trackTrunc bool
 
-	// runErr is a failed run (engine error), wrapped exactly as the
-	// sequential loop wraps it; errOrd positions it, errTruncCum is the
-	// truncated count through it (the failing run counts its truncation), and
-	// errPrunedCum/errDistinctCum position the stateful counters like a
-	// violation's.
+	// runErr is a failed run (engine error), wrapped with its schedule;
+	// errOrd positions it, errTruncCum is the truncated count through it
+	// (the failing run counts its truncation), and errPrunedCum and
+	// errDistinctCum position the prune counters like a violation's.
 	runErr         error
 	errOrd         int
 	errTruncCum    int
@@ -251,7 +248,7 @@ func (sr *subtreeResult) setPruneBit(ord int) {
 }
 
 // recordDistCum records the closed-state count after the latest run's
-// backtrack; the stateful loop calls it once per run, in ordinal order.
+// backtrack; a pruned search calls it once per run, in ordinal order.
 func (sr *subtreeResult) recordDistCum() {
 	if sr.trackTrunc {
 		sr.distCums = append(sr.distCums, int32(sr.distinct))
@@ -261,7 +258,7 @@ func (sr *subtreeResult) recordDistCum() {
 // truncCount returns the number of truncated runs among ordinals [0, n).
 func (sr *subtreeResult) truncCount(n int) int { return countBits(sr.truncBits, n) }
 
-// exploreShared is the coordination state of one parallel exploration.
+// exploreShared is the coordination state of one exploration.
 type exploreShared struct {
 	frontier [][]int
 	next     atomic.Int64 // next unclaimed subtree index
@@ -269,7 +266,7 @@ type exploreShared struct {
 	// is a monotone lower bound on the runs the merge will credit before
 	// subtree i — the atomic budget handoff: worker i stops as soon as that
 	// bound plus its own runs reaches MaxRuns, which is provably at or past
-	// the sequential cutoff, and the merge trims the overshoot.
+	// the single-walk cutoff, and the merge trims the overshoot.
 	counters []atomic.Int64
 	// stopAfter is the smallest subtree index known to end the search (a
 	// MaxRuns, MaxViolations or run-error cutoff); subtrees beyond it are
@@ -277,10 +274,24 @@ type exploreShared struct {
 	stopAfter atomic.Int64
 	maxRuns   int
 	maxViol   int
-	// base offsets every budget lower bound: runs already credited before the
-	// first frontier entry. Zero for a whole-tree exploration; a distributed
-	// worker running one leased subtree gets the coordinator's frozen base.
-	base int
+}
+
+// newShared returns the coordination state for exploring frontier under
+// opts, with no cutoff known yet.
+func newShared(frontier [][]int, opts ExploreOpts) *exploreShared {
+	sh := &exploreShared{
+		frontier: frontier,
+		counters: make([]atomic.Int64, len(frontier)),
+		maxRuns:  opts.MaxRuns,
+		maxViol:  maxViolations(opts),
+	}
+	sh.stopAfter.Store(math.MaxInt64)
+	return sh
+}
+
+// maxViolations resolves ExploreOpts.MaxViolations: 0 means 1.
+func maxViolations(opts ExploreOpts) int {
+	return max(opts.MaxViolations, 1)
 }
 
 func (sh *exploreShared) cutAt(i int) {
@@ -295,149 +306,15 @@ func (sh *exploreShared) cutAt(i int) {
 // baseLower returns the current lower bound on runs preceding subtree i in
 // canonical order.
 func (sh *exploreShared) baseLower(i int) int {
-	sum := sh.base
+	sum := 0
 	for j := 0; j < i; j++ {
 		sum += int(sh.counters[j].Load())
 	}
 	return sum
 }
 
-// exploreSubtree runs the sequential DFS loop restricted to the subtree
-// rooted at frontier[i] — backtracking never unwinds above the root prefix —
-// recording the per-run detail the merge needs. The loop body mirrors
-// exploreSequential step for step (budget check before the run, truncation
-// and error accounting after it, violation check, backtrack), with the
-// global counters replaced by their atomic lower bounds.
-func (sh *exploreShared) exploreSubtree(i, nprocs int, factory Factory, opts ExploreOpts) *subtreeResult {
-	root := sh.frontier[i]
-	sr := &subtreeResult{errOrd: -1, trackTrunc: sh.maxRuns > 0}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
-	prefix := root
-	if sh.maxRuns > 0 && sh.baseLower(i) >= sh.maxRuns {
-		sh.cutAt(i)
-		return sr // earlier subtrees alone exhaust the budget
-	}
-	for {
-		if int64(i) > sh.stopAfter.Load() {
-			return sr // an earlier subtree already ends the search
-		}
-		if opts.Interrupted != nil && opts.Interrupted() {
-			sr.stopped = true
-			sh.cutAt(i)
-			return sr
-		}
-		sh.counters[i].Add(1)
-		strat.reset(prefix)
-		eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-		if err != nil {
-			// Unreachable: the engine kind was validated before the pool
-			// started; surface it like a failed first run regardless.
-			sr.runErr, sr.errOrd, sr.errTruncCum = err, sr.runs, sr.truncated
-			sr.runs++
-			sh.cutAt(i)
-			return sr
-		}
-		sys := factory(eng)
-		var res *sched.Result
-		if sys.Machines != nil {
-			res, err = eng.RunMachines(sys.Machines)
-		} else {
-			res, err = eng.Run(sys.Body)
-		}
-		if err == nil && strat.diverged != nil {
-			err = strat.diverged
-		}
-		ord := sr.runs
-		sr.runs++
-		if strat.trunc {
-			sr.truncated++
-			sr.setTruncBit(ord)
-		}
-		opts.Obs.RunDone(strat.trunc, false, false)
-		if err != nil {
-			sr.runErr = fmt.Errorf("trace: run failed on schedule %v: %w", strat.picks, err)
-			sr.errOrd, sr.errTruncCum = ord, sr.truncated
-			sh.cutAt(i)
-			return sr
-		}
-		if cerr := sys.Check(res); cerr != nil {
-			sch := make([]int, len(strat.picks))
-			copy(sch, strat.picks)
-			sr.viols = append(sr.viols, subViolation{ord: ord, truncCum: sr.truncated,
-				v: Violation{Schedule: sch, Err: cerr}})
-			if len(sr.viols) >= sh.maxViol {
-				sh.cutAt(i)
-				return sr
-			}
-		}
-		next := strat.backtrack(len(root))
-		if next == nil {
-			sr.exhausted = true
-			return sr
-		}
-		prefix = next
-		// The sequential loop checks the budget at the loop top — after the
-		// previous run's backtrack — so the check sits here too: a worker
-		// that stops on budget has already learned whether its subtree was
-		// exhausted, which the merge needs for the exact Exhausted flag.
-		if sh.maxRuns > 0 && sh.baseLower(i)+sr.runs >= sh.maxRuns {
-			sh.cutAt(i)
-			return sr
-		}
-	}
-}
-
-// exploreParallel shards the DFS tree across a worker pool and merges the
-// per-subtree results back into the canonical sequential report.
-func exploreParallel(nprocs int, factory Factory, opts ExploreOpts, workers int) (*ExploreReport, error) {
-	// Validate the engine kind once, before the pool exists, so workers
-	// cannot fail on construction.
-	if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
-		return nil, err
-	}
-	target := min(frontierTarget*workers, maxFrontier)
-	if opts.MaxRuns > 0 {
-		target = min(target, opts.MaxRuns)
-	}
-	frontier, err := expandFrontier(nprocs, factory, opts, max(target, 1))
-	if err != nil {
-		return nil, err
-	}
-	if len(frontier) <= 1 {
-		return exploreSequential(nprocs, factory, opts)
-	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	sh := &exploreShared{
-		frontier: frontier,
-		counters: make([]atomic.Int64, len(frontier)),
-		maxRuns:  opts.MaxRuns,
-		maxViol:  maxViol,
-	}
-	sh.stopAfter.Store(math.MaxInt64)
-	results := make([]*subtreeResult, len(frontier))
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(frontier)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(sh.next.Add(1) - 1)
-				if i >= len(sh.frontier) || int64(i) > sh.stopAfter.Load() {
-					return
-				}
-				results[i] = sh.exploreSubtree(i, nprocs, factory, opts)
-			}
-		}()
-	}
-	wg.Wait()
-	return mergeSubtrees(frontier, results, opts.MaxRuns, maxViol, false)
-}
-
 // mergeSubtrees folds per-subtree results, in canonical DFS order, into the
-// report the sequential loop would have produced: it credits each subtree's
+// report one walk over the whole tree would have produced: it credits each subtree's
 // runs against the MaxRuns budget, re-applies the MaxViolations and
 // run-error cutoffs at their exact run ordinals, and trims the speculative
 // overshoot past the first cutoff. With interrupted set (the caller's
@@ -451,7 +328,7 @@ func mergeSubtrees(frontier [][]int, results []*subtreeResult, maxRuns, maxViol 
 		if maxRuns > 0 {
 			budgetRem = maxRuns - rep.Runs
 			if budgetRem <= 0 {
-				return rep, nil // sequential loop-top stop: budget spent
+				return rep, nil // budget spent before this subtree
 			}
 		}
 		if sr == nil {
@@ -493,7 +370,7 @@ func mergeSubtrees(frontier [][]int, results []*subtreeResult, maxRuns, maxViol 
 		}
 		// MaxRuns cutoff inside this subtree? (The boundary case — budget
 		// spent exactly at the subtree's recorded runs without exhausting it
-		// — is the sequential loop stopping at its loop-top check with more
+		// — is a single walk stopping at its budget check with more
 		// prefixes left to explore.)
 		if budgetRem < sr.runs || (budgetRem == sr.runs && !sr.exhausted) {
 			rep.Runs += budgetRem

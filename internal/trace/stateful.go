@@ -1,15 +1,16 @@
-// Stateful exploration: state-fingerprint pruning and subtree checkpointing
-// for the exhaustive schedule search. The plain explorer (explore.go)
-// enumerates schedules; on symmetric protocols huge numbers of interleavings
-// converge to identical configurations and are re-explored in full. The
-// stateful explorer hashes the configuration — every shared object and every
-// process state, via the fingerprint contract of sched.Fingerprinter — at
-// each scheduler decision and cuts the subtree when that configuration was
-// already fully explored with at least as much remaining depth (classic
-// state caching). Independently, it can checkpoint the sequential engine and
-// system state at every decision on the current path and fork the next
-// schedule from the deepest common prefix instead of replaying it from the
-// root (subtree checkpointing).
+// The schedule explorer: the one DFS loop every exhaustive search runs
+// through (Explore, and RunSubtree for a distributed worker). Without
+// options it enumerates every schedule of its subtree, one fresh engine per
+// run, backtracking over the enabled sets it recorded. Two options make it
+// stateful. Pruning: on symmetric protocols huge numbers of interleavings
+// converge to identical configurations, so the explorer hashes the
+// configuration — every shared object and every process state, via the
+// fingerprint contract of sched.Fingerprinter — at each scheduler decision
+// and cuts the subtree when that configuration was already fully explored
+// with at least as much remaining depth (classic state caching).
+// Checkpointing: it snapshots the sequential engine and system state at
+// every branch point on the current path and forks the next schedule from
+// the deepest common prefix instead of replaying it from the root.
 //
 // Soundness of the prune (safety checking): a configuration determines the
 // set of configurations reachable from it within a step budget, and every
@@ -24,8 +25,10 @@
 // hash collisions (a collision could wrongly cut a subtree), the standard,
 // vanishingly-unlikely trade of fingerprint-based state caching.
 //
-// Determinism across worker counts: the visited-state cache is shared
-// through a lock-striped table sharded by hash prefix, but cache *visibility*
+// Determinism across worker counts: an unpruned search is one wave over a
+// frontier scaled to the worker count, and the merge (parallel.go) makes its
+// report independent of the sharding. A pruned search shares the
+// visited-state cache through a lock-striped table, but cache *visibility*
 // is structured so the report cannot depend on scheduling: the frontier is
 // expanded to a fixed, worker-independent size, subtrees are processed in
 // canonical waves of fixed width, each subtree sees the global table frozen
@@ -38,9 +41,7 @@ package trace
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"revisionist/internal/sched"
 )
@@ -55,12 +56,15 @@ const pruneFrontierTarget = 32
 // also caps a pruned exploration's effective parallelism.
 const pruneWaveWidth = 8
 
-// fpStripeBits is the hash-prefix width selecting a stripe of the table.
+// fpStripeBits is the number of low fingerprint bits selecting a stripe of
+// the table.
 const fpStripeBits = 6
 
 // fpTable is the lock-striped visited-state table shared across subtrees:
 // fingerprint -> the largest remaining depth to which that configuration has
-// been fully explored. Stripes are selected by the top hash bits. Writes
+// been fully explored. Stripes are selected by the low fingerprint bits: a
+// canonical fingerprint is the minimum of several hashes, so its top bits
+// lean towards zero while its low bits stay uniform. Writes
 // (publish) happen only between waves, under the stripe locks; reads during
 // a wave are lock-free, ordered against the writes by the pool barrier.
 type fpTable struct {
@@ -78,8 +82,11 @@ func newFpTable() *fpTable {
 	return t
 }
 
+// stripe returns the stripe holding fp.
+func (t *fpTable) stripe(fp uint64) int { return int(fp & (1<<fpStripeBits - 1)) }
+
 func (t *fpTable) lookup(fp uint64) (int, bool) {
-	rem, ok := t.stripes[fp>>(64-fpStripeBits)].m[fp]
+	rem, ok := t.stripes[t.stripe(fp)].m[fp]
 	return rem, ok
 }
 
@@ -88,7 +95,7 @@ func (t *fpTable) lookup(fp uint64) (int, bool) {
 // not depend on publish order.
 func (t *fpTable) publish(local map[uint64]int) {
 	for fp, rem := range local {
-		s := &t.stripes[fp>>(64-fpStripeBits)]
+		s := &t.stripes[t.stripe(fp)]
 		s.mu.Lock()
 		if cur, ok := s.m[fp]; !ok || rem > cur {
 			s.m[fp] = rem
@@ -172,26 +179,19 @@ type stCheckpoint struct {
 	cp    *sched.SeqCheckpoint
 }
 
-// stExplorer runs the stateful DFS over one subtree. Unlike recStrategy,
-// whose arenas are reset per schedule, the explorer's path state (picks,
-// enabled-set arenas, fingerprints, checkpoints) persists across runs and is
-// truncated to the resume depth — checkpointed runs never re-record the
-// shared prefix, and backtracking still sees every recorded sibling.
+// stExplorer runs the DFS over one subtree; every search, pruned or not,
+// runs through it. Its path state (picks, enabled-set arenas, fingerprints,
+// checkpoints) persists across runs and is truncated to the resume depth —
+// checkpointed runs never re-record the shared prefix, and backtracking
+// still sees every recorded sibling. With no cache and no checkpointing it
+// enumerates every schedule of the subtree.
 type stExplorer struct {
 	nprocs  int
 	factory Factory
 	opts    ExploreOpts
 
-	i     int   // subtree index (canonical order)
-	root  []int // subtree root prefix
-	floor int   // = len(root); backtracking never unwinds above it
-
-	sh         *exploreShared
-	budgetBase func() int // runs credited before this subtree (lower bound)
-	maxViol    int
-
-	cache      *stateCache // nil without Prune
-	checkpoint bool
+	floor int         // = len(subtree root); backtracking never unwinds above it
+	cache *stateCache // nil without Prune
 
 	// Persistent path state, indexed by absolute decision depth.
 	flat  []int
@@ -199,30 +199,41 @@ type stExplorer struct {
 	picks []int
 	fps   []uint64
 	cps   []stCheckpoint
+	next  []int // the next run's target prefix, rebuilt by backtrack
 
-	h  maphash.Hash
-	sr *subtreeResult
+	strat stStrategy // the per-run strategy, reset by every run
+	h     maphash.Hash
+	sr    *subtreeResult
 }
 
-// stStrategy is the per-run strategy of the stateful explorer: it replays
-// the target prefix, prunes against the visited-state cache, captures
-// checkpoints along the descent, and records decisions into the explorer's
-// persistent arenas.
+// newExplorer returns an explorer with empty path state. The caller installs
+// a cache for a pruned search.
+func newExplorer(nprocs int, factory Factory, opts ExploreOpts) *stExplorer {
+	ex := &stExplorer{nprocs: nprocs, factory: factory, opts: opts, offs: []int{0}}
+	if opts.Prune {
+		ex.h = sched.NewFingerprintHash()
+	}
+	return ex
+}
+
+// stStrategy is the per-run strategy of the explorer: it replays the target
+// prefix, prunes against the visited-state cache, captures checkpoints along
+// the descent, and records decisions into the explorer's persistent arenas.
 type stStrategy struct {
-	ex       *stExplorer
-	prefix   []int // absolute target picks for replayed depths
-	maxDepth int
-	sys      *System
-	eng      *sched.SeqEngine // non-nil iff checkpointing
+	ex     *stExplorer
+	prefix []int // absolute target picks for replayed depths
+	sys    System
+	eng    *sched.SeqEngine // non-nil iff checkpointing
 
 	trunc    bool
 	cut      bool
-	diverged error
+	diverged error // replay divergence: a prefix pick was not enabled
 }
 
 func (s *stStrategy) Pick(step int, enabled []int) int {
 	ex := s.ex
-	if step >= s.maxDepth {
+	maxDepth := ex.opts.MaxDepth
+	if step >= maxDepth {
 		s.trunc = true
 		return sched.Halt
 	}
@@ -237,7 +248,7 @@ func (s *stStrategy) Pick(step int, enabled []int) int {
 			fp = ex.h.Sum64()
 		}
 		ex.fps = append(ex.fps, fp)
-		if rem, ok := ex.cache.lookup(fp); ok && rem >= s.maxDepth-d {
+		if rem, ok := ex.cache.lookup(fp); ok && rem >= maxDepth-d {
 			s.cut = true
 			return sched.Halt
 		}
@@ -254,6 +265,10 @@ func (s *stStrategy) Pick(step int, enabled []int) int {
 	if d < len(s.prefix) {
 		pick = s.prefix[d]
 		if !pidEnabled(enabled, pick) {
+			// Deterministic systems replay identically; reaching here means
+			// the factory is nondeterministic, which the explorer cannot
+			// handle: exploring on would silently visit a different tree.
+			// Record the divergence and halt; the run surfaces it as an error.
 			s.diverged = replayDivergence(d, pick, enabled)
 			return sched.Halt
 		}
@@ -264,43 +279,62 @@ func (s *stStrategy) Pick(step int, enabled []int) int {
 	return pick
 }
 
+// pidEnabled reports whether pick appears in the sorted enabled set.
+func pidEnabled(enabled []int, pick int) bool {
+	for _, pid := range enabled {
+		if pid == pick {
+			return true
+		}
+	}
+	return false
+}
+
+// replayDivergence builds the error reported when a replayed prefix pick is
+// not enabled — the signature of a nondeterministic factory.
+func replayDivergence(step, pick int, enabled []int) error {
+	return fmt.Errorf("trace: schedule replay diverged at step %d: recorded pick %d is not in the enabled set %v; Explore requires the factory to build deterministic systems (consecutive calls must produce identical behaviour)", step, pick, enabled)
+}
+
 // runOnce executes one schedule: from a checkpoint when one covers the
-// target prefix, from the root otherwise.
-func (ex *stExplorer) runOnce(prefix []int, from *stCheckpoint) (*stStrategy, System, *sched.Result, error) {
-	strat := &stStrategy{ex: ex, prefix: prefix, maxDepth: ex.opts.MaxDepth}
-	var sys System
-	var res *sched.Result
-	var err error
+// target prefix, from the root otherwise. It returns the explorer's own
+// strategy, which holds the run's system and outcome until the next run.
+func (ex *stExplorer) runOnce(prefix []int, from *stCheckpoint) (*stStrategy, *sched.Result, error) {
+	s := &ex.strat
+	*s = stStrategy{ex: ex, prefix: prefix}
 	if from != nil {
-		eng := sched.ResumeSeqEngine(from.cp, strat)
-		sys = from.sys.Fork(eng)
-		strat.sys = &sys
-		strat.eng = eng
-		res, err = eng.RunMachines(sys.Machines)
-		return strat, sys, res, err
+		eng := sched.ResumeSeqEngine(from.cp, s)
+		s.sys, s.eng = from.sys.Fork(eng), eng
+		res, err := eng.RunMachines(s.sys.Machines)
+		return s, res, err
 	}
-	eng, eerr := sched.NewEngine(ex.opts.Engine, ex.nprocs, strat)
-	if eerr != nil {
-		return strat, sys, nil, eerr
+	eng, err := sched.NewEngine(ex.opts.Engine, ex.nprocs, s)
+	if err != nil {
+		return s, nil, err
 	}
-	sys = ex.factory(eng)
-	strat.sys = &sys
-	if ex.checkpoint {
-		strat.eng = eng.(*sched.SeqEngine)
+	s.sys = ex.factory(eng)
+	if ex.opts.Checkpoint {
+		s.eng = eng.(*sched.SeqEngine)
 	}
-	if sys.Machines != nil {
-		res, err = eng.RunMachines(sys.Machines)
+	var res *sched.Result
+	if s.sys.Machines != nil {
+		res, err = eng.RunMachines(s.sys.Machines)
 	} else {
-		res, err = eng.Run(sys.Body)
+		res, err = eng.Run(s.sys.Body)
 	}
-	return strat, sys, res, err
+	return s, res, err
+}
+
+// enabledAt returns the recorded enabled set of decision depth d.
+func (ex *stExplorer) enabledAt(d int) []int {
+	return ex.flat[ex.offs[d]:ex.offs[d+1]]
 }
 
 // backtrack returns the next prefix in DFS order over the persistent arenas,
 // never unwinding above the subtree root, or nil when the subtree is done.
+// The prefix lives in a buffer the next call overwrites.
 func (ex *stExplorer) backtrack() []int {
 	for d := len(ex.picks) - 1; d >= ex.floor; d-- {
-		opts := ex.flat[ex.offs[d]:ex.offs[d+1]]
+		opts := ex.enabledAt(d)
 		idx := -1
 		for i, pid := range opts {
 			if pid == ex.picks[d] {
@@ -309,10 +343,8 @@ func (ex *stExplorer) backtrack() []int {
 			}
 		}
 		if idx >= 0 && idx+1 < len(opts) {
-			next := make([]int, d+1)
-			copy(next, ex.picks[:d])
-			next[d] = opts[idx+1]
-			return next
+			ex.next = append(append(ex.next[:0], ex.picks[:d]...), opts[idx+1])
+			return ex.next
 		}
 	}
 	return nil
@@ -322,7 +354,8 @@ func (ex *stExplorer) backtrack() []int {
 // last child subtree just completed: the depths the backtrack sweep passed
 // without finding an unexplored sibling. A cut or truncated leaf is not
 // closed (it was not explored here), and nodes above the subtree root belong
-// to sibling subtrees and other workers.
+// to sibling subtrees and other workers. Without a cache there is nothing to
+// close or count.
 func (ex *stExplorer) closeStates(next []int) {
 	if ex.cache == nil {
 		return
@@ -337,6 +370,7 @@ func (ex *stExplorer) closeStates(next []int) {
 			ex.opts.Obs.StateClosed()
 		}
 	}
+	ex.sr.recordDistCum()
 }
 
 // truncTo truncates the persistent path state to the resume depth: decisions
@@ -351,32 +385,33 @@ func (ex *stExplorer) truncTo(base int) {
 	}
 }
 
-// explore runs the stateful DFS loop for one subtree. The loop body mirrors
-// exploreSubtree (run, account, check, backtrack, budget), with three
-// additions: cut runs skip the check and count as pruned, completed subtree
-// roots are closed into the cache, and the next run forks from the deepest
-// checkpoint at or above the divergence depth.
-func (ex *stExplorer) explore() *subtreeResult {
-	sr := &subtreeResult{errOrd: -1, trackTrunc: ex.sh.maxRuns > 0}
+// explore runs the DFS loop over subtree i of sh's frontier: run, account,
+// check, backtrack, budget. Cut runs skip the check and count as pruned,
+// completed subtree roots are closed into the cache, and the next run forks
+// from the deepest checkpoint at or above the divergence depth. budgetBase
+// is a lower bound on the runs the merge credits before this subtree.
+func (ex *stExplorer) explore(sh *exploreShared, i int, budgetBase func() int) *subtreeResult {
+	root := sh.frontier[i]
+	ex.floor = len(root)
+	sr := &subtreeResult{errOrd: -1, trackTrunc: sh.maxRuns > 0}
 	ex.sr = sr
-	ex.offs = append(ex.offs[:0], 0)
-	if ex.sh.maxRuns > 0 && ex.budgetBase() >= ex.sh.maxRuns {
-		ex.sh.cutAt(ex.i)
+	if sh.maxRuns > 0 && budgetBase() >= sh.maxRuns {
+		sh.cutAt(i)
 		return sr // earlier subtrees alone exhaust the budget
 	}
-	prefix := ex.root
+	prefix := root
 	var from *stCheckpoint
 	for {
-		if int64(ex.i) > ex.sh.stopAfter.Load() {
+		if int64(i) > sh.stopAfter.Load() {
 			return sr // an earlier subtree already ends the search
 		}
 		if ex.opts.Interrupted != nil && ex.opts.Interrupted() {
 			sr.stopped = true
-			ex.sh.cutAt(ex.i)
+			sh.cutAt(i)
 			return sr
 		}
-		ex.sh.counters[ex.i].Add(1)
-		strat, sys, res, err := ex.runOnce(prefix, from)
+		sh.counters[i].Add(1)
+		strat, res, err := ex.runOnce(prefix, from)
 		ord := sr.runs
 		sr.runs++
 		if strat.trunc {
@@ -395,35 +430,37 @@ func (ex *stExplorer) explore() *subtreeResult {
 			sr.runErr = fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, err)
 			sr.errOrd, sr.errTruncCum = ord, sr.truncated
 			sr.errPrunedCum, sr.errDistinctCum = sr.pruned, sr.distinct
-			ex.sh.cutAt(ex.i)
+			sh.cutAt(i)
 			return sr
 		}
 		if !strat.cut {
-			if cerr := sys.Check(res); cerr != nil {
+			if cerr := strat.sys.Check(res); cerr != nil {
 				sch := append([]int(nil), ex.picks...)
 				sr.viols = append(sr.viols, subViolation{ord: ord, truncCum: sr.truncated,
 					prunedCum: sr.pruned, distinctCum: sr.distinct,
 					v: Violation{Schedule: sch, Err: cerr}})
-				if len(sr.viols) >= ex.maxViol {
-					ex.sh.cutAt(ex.i)
+				if len(sr.viols) >= sh.maxViol {
+					sh.cutAt(i)
 					return sr
 				}
 			}
 		}
 		next := ex.backtrack()
 		ex.closeStates(next)
-		sr.recordDistCum()
 		if next == nil {
 			sr.exhausted = true
 			return sr
 		}
-		if ex.sh.maxRuns > 0 && ex.budgetBase()+sr.runs >= ex.sh.maxRuns {
-			ex.sh.cutAt(ex.i)
+		// The budget is checked after the backtrack, so a subtree that stops
+		// on budget has already learned whether it was exhausted, which the
+		// merge needs for the exact Exhausted flag.
+		if sh.maxRuns > 0 && budgetBase()+sr.runs >= sh.maxRuns {
+			sh.cutAt(i)
 			return sr
 		}
 		base := 0
 		from = nil
-		if ex.checkpoint {
+		if ex.opts.Checkpoint {
 			dd := len(next) - 1
 			for len(ex.cps) > 0 && ex.cps[len(ex.cps)-1].depth > dd {
 				ex.cps = ex.cps[:len(ex.cps)-1]
@@ -438,89 +475,30 @@ func (ex *stExplorer) explore() *subtreeResult {
 	}
 }
 
-// validateStateful checks the capability contracts of a Prune/Checkpoint
-// exploration against a probe system: the fingerprint for pruning, the
-// fork/machine contract for checkpointing. Shared by the in-process entry
-// point and the distributed worker's RunSubtree.
-func validateStateful(nprocs int, factory Factory, opts ExploreOpts) error {
-	kind := opts.Engine
-	if kind == "" {
-		kind = sched.DefaultEngine
-	}
-	probe, err := sched.NewEngine(kind, nprocs, sched.Lowest{})
-	if err != nil {
-		return err
-	}
-	caps := factory(probe)
-	if opts.Prune && caps.Fingerprint == nil {
-		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fingerprint (the factory's systems expose no configuration fingerprint)")
-	}
-	if opts.Symmetry {
-		if !opts.Prune {
-			return fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
-		}
-		if caps.CanonicalFingerprint == nil {
-			return fmt.Errorf("trace: ExploreOpts.Symmetry requires System.CanonicalFingerprint (the factory's systems expose no symmetry-reduced fingerprint)")
-		}
-	}
-	if opts.Checkpoint {
-		if kind != sched.EngineSeq {
-			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires the sequential engine, got %q", kind)
-		}
-		if caps.Fork == nil {
-			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires System.Fork (the factory's systems expose no deep copy)")
-		}
-		if caps.Machines == nil {
-			return fmt.Errorf("trace: ExploreOpts.Checkpoint requires machine-based systems (System.Machines); coroutine-bridged bodies cannot fork")
-		}
-	}
-	return nil
-}
-
-// exploreStateful is the Prune/Checkpoint entry point: it validates the
-// capability contracts, expands a worker-independent frontier, processes it
-// in canonical waves over the worker pool, and merges the per-subtree
-// results with the same deterministic merge as the plain parallel explorer.
+// exploreStateful runs every Explore: it validates the option contracts,
+// expands the frontier, processes it in canonical waves over the worker
+// pool, and merges the per-subtree results deterministically. A pruned
+// search uses a fixed, worker-independent frontier in waves of
+// pruneWaveWidth; an unpruned one shards by worker count — one subtree for
+// one worker — and runs its whole frontier as a single wave.
 func exploreStateful(nprocs int, factory Factory, opts ExploreOpts, workers int) (*ExploreReport, error) {
-	if err := validateStateful(nprocs, factory, opts); err != nil {
+	if err := validate(nprocs, factory, opts); err != nil {
 		return nil, err
 	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-
-	// Frontier: fixed size when pruning (the sharing structure must not
-	// depend on Workers), legacy worker-scaled size for checkpoint-only.
-	var frontier [][]int
-	var err error
+	target := 1
 	switch {
-	case opts.Prune && nprocs > 1:
-		target := pruneFrontierTarget
-		if opts.MaxRuns > 0 {
-			target = min(target, opts.MaxRuns)
-		}
-		frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
-	case !opts.Prune && workers > 1 && nprocs > 1:
-		target := min(frontierTarget*workers, maxFrontier)
-		if opts.MaxRuns > 0 {
-			target = min(target, opts.MaxRuns)
-		}
-		frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
-	default:
-		frontier = [][]int{{}}
+	case nprocs <= 1:
+	case opts.Prune:
+		target = pruneFrontierTarget
+	case workers > 1:
+		target = min(frontierTarget*workers, maxFrontier)
 	}
+	frontier, err := expandFrontier(nprocs, factory, opts, target)
 	if err != nil {
 		return nil, err
 	}
 
-	sh := &exploreShared{
-		frontier: frontier,
-		counters: make([]atomic.Int64, len(frontier)),
-		maxRuns:  opts.MaxRuns,
-		maxViol:  maxViol,
-	}
-	sh.stopAfter.Store(math.MaxInt64)
+	sh := newShared(frontier, opts)
 	results := make([]*subtreeResult, len(frontier))
 
 	var table *fpTable
@@ -545,28 +523,16 @@ func exploreStateful(nprocs int, factory Factory, opts ExploreOpts, workers int)
 			if int64(i) > sh.stopAfter.Load() {
 				return
 			}
-			ex := &stExplorer{
-				nprocs:     nprocs,
-				factory:    factory,
-				opts:       opts,
-				i:          i,
-				root:       frontier[i],
-				floor:      len(frontier[i]),
-				sh:         sh,
-				maxViol:    maxViol,
-				checkpoint: opts.Checkpoint,
-				h:          sched.NewFingerprintHash(),
-			}
+			ex := newExplorer(nprocs, factory, opts)
+			budgetBase := func() int { return sh.baseLower(i) }
 			if opts.Prune {
 				ex.cache = &stateCache{global: table, local: make(map[uint64]int)}
 				caches[j] = ex.cache
 				// Budget base frozen at the wave start: exact (earlier waves
 				// are complete) and independent of in-wave scheduling.
-				ex.budgetBase = func() int { return base }
-			} else {
-				ex.budgetBase = func() int { return sh.baseLower(i) }
+				budgetBase = func() int { return base }
 			}
-			results[i] = ex.explore()
+			results[i] = ex.explore(sh, i, budgetBase)
 		})
 		for _, sr := range results[lo:hi] {
 			if sr != nil {
@@ -585,7 +551,7 @@ func exploreStateful(nprocs int, factory Factory, opts ExploreOpts, workers int)
 		}
 		opts.Obs.WaveDone(lo/width, waveStart, len(frontier)-hi)
 	}
-	rep, err := mergeSubtrees(frontier, results, opts.MaxRuns, maxViol, false)
+	rep, err := mergeSubtrees(frontier, results, opts.MaxRuns, sh.maxViol, false)
 	if err == nil && table != nil && rep.Exhausted {
 		// An exhausted search published every wave, so the table holds the
 		// union of all closures: the exact distinct-configuration count. The

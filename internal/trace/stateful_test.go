@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -99,7 +100,9 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 		{"consensus-2-capped", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			plain, err := Explore(c.nprocs, c.factory, c.opts)
+			plainOpts := c.opts
+			plainOpts.Workers = 1
+			plain, err := Explore(c.nprocs, c.factory, plainOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,25 +129,28 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 				tag        string
 				checkpoint bool
 			}{{"prune", false}, {"prune+checkpoint", true}} {
-				pr := c.opts
-				pr.Prune = true
-				pr.Checkpoint = mode.checkpoint
-				prRep, err := Explore(c.nprocs, c.factory, pr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Exhausted must match — except that pruning may finish a
-				// space the plain search's MaxRuns budget cut short.
-				capped := c.opts.MaxRuns > 0 && plain.Runs >= c.opts.MaxRuns
-				if prRep.Exhausted != plain.Exhausted && !(capped && prRep.Exhausted) {
-					t.Fatalf("%s: Exhausted diverges: %v vs %v", mode.tag, prRep.Exhausted, plain.Exhausted)
-				}
-				if prRep.Runs > plain.Runs {
-					t.Fatalf("%s: pruned search ran more schedules (%d) than plain (%d)",
-						mode.tag, prRep.Runs, plain.Runs)
-				}
-				if len(prRep.Violations) > 0 != (len(plain.Violations) > 0) {
-					t.Fatalf("%s: violation presence diverges", mode.tag)
+				for _, workers := range testWorkers {
+					pr := c.opts
+					pr.Prune = true
+					pr.Checkpoint = mode.checkpoint
+					pr.Workers = workers
+					prRep, err := Explore(c.nprocs, c.factory, pr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Exhausted must match — except that pruning may finish a
+					// space the plain search's MaxRuns budget cut short.
+					capped := c.opts.MaxRuns > 0 && plain.Runs >= c.opts.MaxRuns
+					if prRep.Exhausted != plain.Exhausted && !(capped && prRep.Exhausted) {
+						t.Fatalf("%s workers=%d: Exhausted diverges: %v vs %v", mode.tag, workers, prRep.Exhausted, plain.Exhausted)
+					}
+					if prRep.Runs > plain.Runs {
+						t.Fatalf("%s workers=%d: pruned search ran more schedules (%d) than plain (%d)",
+							mode.tag, workers, prRep.Runs, plain.Runs)
+					}
+					if len(prRep.Violations) > 0 != (len(plain.Violations) > 0) {
+						t.Fatalf("%s workers=%d: violation presence diverges", mode.tag, workers)
+					}
 				}
 			}
 		})
@@ -154,22 +160,57 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 // TestPrunedCheckpointIdentical pins that checkpointing changes nothing
 // about a pruned report — it only changes how runs are executed.
 func TestPrunedCheckpointIdentical(t *testing.T) {
-	opts := ExploreOpts{MaxDepth: 20, Prune: true}
-	a, err := Explore(4, firstValueFactory(4), opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range testWorkers {
+		opts := ExploreOpts{MaxDepth: 20, Prune: true, Workers: w}
+		a, err := Explore(4, firstValueFactory(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Checkpoint = true
+		b, err := Explore(4, firstValueFactory(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Runs != b.Runs || a.Pruned != b.Pruned || a.Distinct != b.Distinct ||
+			a.Truncated != b.Truncated || a.Exhausted != b.Exhausted {
+			t.Fatalf("workers=%d: checkpointing changed the pruned report: %+v vs %+v", w, a, b)
+		}
+		if a.Pruned == 0 || a.Distinct == 0 {
+			t.Fatalf("workers=%d: expected pruning on the symmetric protocol, got %+v", w, a)
+		}
 	}
-	opts.Checkpoint = true
-	b, err := Explore(4, firstValueFactory(4), opts)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFpTableStripesEven publishes canonical-style fingerprints — each the
+// minimum of 12 random hashes, so their top bits lean towards zero — and
+// requires every stripe to hold at most 3x its fair share of the keys, and
+// every key to be found again.
+func TestFpTableStripesEven(t *testing.T) {
+	const keys, hashes = 1 << 14, 12
+	rng := rand.New(rand.NewSource(1))
+	local := make(map[uint64]int, keys)
+	for len(local) < keys {
+		fp := uint64(math.MaxUint64)
+		for range hashes {
+			fp = min(fp, rng.Uint64())
+		}
+		local[fp] = len(local)
 	}
-	if a.Runs != b.Runs || a.Pruned != b.Pruned || a.Distinct != b.Distinct ||
-		a.Truncated != b.Truncated || a.Exhausted != b.Exhausted {
-		t.Fatalf("checkpointing changed the pruned report: %+v vs %+v", a, b)
+	table := newFpTable()
+	table.publish(local)
+	if table.size() != keys {
+		t.Fatalf("table holds %d keys, want %d", table.size(), keys)
 	}
-	if a.Pruned == 0 || a.Distinct == 0 {
-		t.Fatalf("expected pruning on the symmetric protocol, got %+v", a)
+	for fp, rem := range local {
+		if got, ok := table.lookup(fp); !ok || got != rem {
+			t.Fatalf("lookup(%x) = %d, %v; want %d, true", fp, got, ok, rem)
+		}
+	}
+	fair := keys / len(table.stripes)
+	for i := range table.stripes {
+		if n := len(table.stripes[i].m); n > 3*fair {
+			t.Fatalf("stripe %d holds %d keys, more than 3x the fair share %d", i, n, fair)
+		}
 	}
 }
 

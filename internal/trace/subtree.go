@@ -1,9 +1,9 @@
 // Exported subtree lease/merge hooks: the surface a distributed schedule
-// search builds on (see internal/dist). The in-process parallel explorer
-// (parallel.go, stateful.go) already splits the DFS tree into disjoint
-// subtree prefixes and merges per-subtree results deterministically; this
-// file exports that protocol piecewise so a coordinator in another process —
-// or on another machine — can drive it over a transport:
+// search builds on (see internal/dist). The in-process explorer (stateful.go,
+// parallel.go) already splits the DFS tree into disjoint subtree prefixes and
+// merges per-subtree results deterministically; this file exports that
+// protocol piecewise so a coordinator in another process — or on another
+// machine — can drive it over a transport:
 //
 //   - SubtreePlan computes the canonical frontier of subtree roots and the
 //     wave width a distributed run must use to reproduce the single-process
@@ -24,12 +24,7 @@ package trace
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"sort"
-	"sync/atomic"
-
-	"revisionist/internal/sched"
 )
 
 // ErrInterrupted is returned (alongside the partial report) when
@@ -175,7 +170,7 @@ func (o *SubtreeOutcome) internal() *subtreeResult {
 // coordinator fails fast instead of shipping a broken job to workers.
 //
 // For a pruned search the frontier size and wave width are the fixed,
-// worker-independent constants of the in-process stateful explorer — the
+// worker-independent constants of the in-process explorer — the
 // cache-sharing structure is part of the report — and closed states may only
 // be shared across (never within) waves, with budget bases frozen at wave
 // starts. For an unpruned search the report is independent of the sharding,
@@ -183,29 +178,17 @@ func (o *SubtreeOutcome) internal() *subtreeResult {
 // bound works. A frontier of length <= 1 means the tree is too small to
 // shard: run Explore locally instead.
 func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]int, waveWidth int, err error) {
-	if opts.MaxDepth <= 0 {
-		return nil, 0, fmt.Errorf("trace: MaxDepth must be positive")
-	}
-	if opts.Prune || opts.Checkpoint {
-		if err := validateStateful(nprocs, factory, opts); err != nil {
-			return nil, 0, err
-		}
-	} else if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
+	if err := validate(nprocs, factory, opts); err != nil {
 		return nil, 0, err
 	}
 	if nprocs <= 1 {
 		return [][]int{{}}, 1, nil
 	}
-	var target int
+	target := distFrontierTarget
 	if opts.Prune {
 		target = pruneFrontierTarget
-	} else {
-		target = distFrontierTarget
 	}
-	if opts.MaxRuns > 0 {
-		target = min(target, opts.MaxRuns)
-	}
-	frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1))
+	frontier, err = expandFrontier(nprocs, factory, opts, target)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -230,40 +213,11 @@ const distFrontierTarget = 64
 // publishing closures only at wave barriers). The outcome carries the
 // subtree's own closures; the caller owns publishing them.
 func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
-	if opts.MaxDepth <= 0 {
-		return nil, fmt.Errorf("trace: MaxDepth must be positive")
-	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	sh := &exploreShared{
-		frontier: [][]int{root},
-		counters: make([]atomic.Int64, 1),
-		maxRuns:  opts.MaxRuns,
-		maxViol:  maxViol,
-		base:     base,
-	}
-	sh.stopAfter.Store(math.MaxInt64)
-	if !opts.Prune && !opts.Checkpoint {
-		return sh.exploreSubtree(0, nprocs, factory, opts).outcome(), nil
-	}
-	if err := validateStateful(nprocs, factory, opts); err != nil {
+	if err := validate(nprocs, factory, opts); err != nil {
 		return nil, err
 	}
-	ex := &stExplorer{
-		nprocs:     nprocs,
-		factory:    factory,
-		opts:       opts,
-		i:          0,
-		root:       root,
-		floor:      len(root),
-		sh:         sh,
-		budgetBase: func() int { return base },
-		maxViol:    maxViol,
-		checkpoint: opts.Checkpoint,
-		h:          sched.NewFingerprintHash(),
-	}
+	sh := newShared([][]int{root}, opts)
+	ex := newExplorer(nprocs, factory, opts)
 	if opts.Prune {
 		var src fpSource
 		if frozen != nil {
@@ -271,7 +225,7 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 		}
 		ex.cache = &stateCache{global: src, local: make(map[uint64]int)}
 	}
-	o := ex.explore().outcome()
+	o := ex.explore(sh, 0, func() int { return base }).outcome()
 	if ex.cache != nil {
 		o.Closures = make([]FpEntry, 0, len(ex.cache.local))
 		for fp, rem := range ex.cache.local {
@@ -284,7 +238,7 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 
 // MergeOutcomes folds per-subtree outcomes, in canonical frontier order,
 // into the report the single-process search would have produced — the same
-// deterministic merge the in-process parallel explorer uses. Outcomes past
+// deterministic merge the in-process explorer uses. Outcomes past
 // the first cutoff may be nil (they are never read). With interrupted set,
 // a missing outcome ends the merge with the partial report so far and
 // ErrInterrupted instead of an internal error.
@@ -293,15 +247,11 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 // size of the fully merged visited-state table; the caller owns that
 // correction (the merge only sees per-subtree sums).
 func MergeOutcomes(frontier [][]int, outcomes []*SubtreeOutcome, opts ExploreOpts, interrupted bool) (*ExploreReport, error) {
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
 	results := make([]*subtreeResult, len(outcomes))
 	for i, o := range outcomes {
 		if o != nil {
 			results[i] = o.internal()
 		}
 	}
-	return mergeSubtrees(frontier, results, opts.MaxRuns, maxViol, interrupted)
+	return mergeSubtrees(frontier, results, opts.MaxRuns, maxViolations(opts), interrupted)
 }
